@@ -139,25 +139,27 @@ func (s *Sampler) NewBotnet(n int, rng *rand.Rand) Botnet {
 
 // RandomAddr picks a uniformly random IPv4 address inside the AS's
 // space (prefixes weighted by size). ok is false when the AS has no
-// IPv4 prefix.
+// IPv4 prefix. It makes two passes over the AS's prefixes — one to
+// size the IPv4 space, one to locate the draw — and allocates nothing.
 func RandomAddr(topo *topology.Topology, asn topology.ASN, rng *rand.Rand) (netip.Addr, bool) {
 	a := topo.AS(asn)
 	if a == nil {
 		return netip.Addr{}, false
 	}
-	var v4 []netip.Prefix
 	var total uint64
 	for _, p := range a.Prefixes {
 		if p.Addr().Is4() {
-			v4 = append(v4, p)
 			total += 1 << (32 - p.Bits())
 		}
 	}
-	if len(v4) == 0 {
+	if total == 0 {
 		return netip.Addr{}, false
 	}
 	x := rng.Uint64() % total
-	for _, p := range v4 {
+	for _, p := range a.Prefixes {
+		if !p.Addr().Is4() {
+			continue
+		}
 		size := uint64(1) << (32 - p.Bits())
 		if x < size {
 			base := p.Addr().As4()

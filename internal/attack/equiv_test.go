@@ -2,6 +2,7 @@ package attack
 
 import (
 	"math/rand"
+	"net/netip"
 	"reflect"
 	"testing"
 	"time"
@@ -95,5 +96,96 @@ func TestRunPacedMatchesReferenceLoop(t *testing.T) {
 				t.Errorf("clocks diverge: reference %v, shim %v", refSys.Net.Sim.Now(), newSys.Net.Sim.Now())
 			}
 		})
+	}
+}
+
+// referenceRandomAddr is RandomAddr as it was before it stopped
+// allocating: it gathered the AS's IPv4 prefixes into a fresh slice on
+// every call. RandomAddr must draw the same addresses from the same
+// RNG stream.
+func referenceRandomAddr(topo *topology.Topology, asn topology.ASN, rng *rand.Rand) (netip.Addr, bool) {
+	a := topo.AS(asn)
+	if a == nil {
+		return netip.Addr{}, false
+	}
+	var v4 []netip.Prefix
+	var total uint64
+	for _, p := range a.Prefixes {
+		if p.Addr().Is4() {
+			v4 = append(v4, p)
+			total += 1 << (32 - p.Bits())
+		}
+	}
+	if len(v4) == 0 {
+		return netip.Addr{}, false
+	}
+	x := rng.Uint64() % total
+	for _, p := range v4 {
+		size := uint64(1) << (32 - p.Bits())
+		if x < size {
+			base := p.Addr().As4()
+			v := uint32(base[0])<<24 | uint32(base[1])<<16 | uint32(base[2])<<8 | uint32(base[3])
+			v += uint32(x)
+			return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}), true
+		}
+		x -= size
+	}
+	return netip.Addr{}, false
+}
+
+// randomAddrTopo is a generated 300-AS world plus AS 70000, which
+// mixes IPv6 prefixes between its IPv4 ones, and AS 70001, which has
+// IPv6 space only.
+func randomAddrTopo(t *testing.T) *topology.Topology {
+	t.Helper()
+	tp, err := topology.GenerateInternet(topology.GenConfig{NumASes: 300, NumPrefixes: 900, ZipfExponent: 1.0, Seed: 17, TierOneCount: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for asn, ps := range map[topology.ASN][]string{
+		70000: {"2001:db8::/32", "198.18.0.0/16", "2001:db9::/48", "198.19.4.0/24", "203.0.113.0/28"},
+		70001: {"2001:dba::/32"},
+	} {
+		if _, err := tp.AddAS(asn); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range ps {
+			if err := tp.AddPrefix(asn, netip.MustParsePrefix(p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return tp
+}
+
+// TestRandomAddrMatchesReference pins RandomAddr's address sequence for
+// a fixed seed to the reference body, over every AS of the world.
+func TestRandomAddrMatchesReference(t *testing.T) {
+	tp := randomAddrTopo(t)
+	got, want := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+	asns := append(append([]topology.ASN(nil), tp.ASNs()...), 99999)
+	for round := 0; round < 20; round++ {
+		for _, asn := range asns {
+			a, ok := RandomAddr(tp, asn, got)
+			ra, rok := referenceRandomAddr(tp, asn, want)
+			if a != ra || ok != rok {
+				t.Fatalf("round %d AS%d: RandomAddr = %v, %v; reference = %v, %v", round, asn, a, ok, ra, rok)
+			}
+		}
+	}
+	if _, ok := RandomAddr(tp, 70001, got); ok {
+		t.Fatal("IPv6-only AS yielded an IPv4 address")
+	}
+}
+
+func TestRandomAddrAllocs(t *testing.T) {
+	tp := randomAddrTopo(t)
+	rng := rand.New(rand.NewSource(9))
+	big := tp.BySizeDesc()[0]
+	if n := testing.AllocsPerRun(1000, func() {
+		RandomAddr(tp, big, rng)
+		RandomAddr(tp, 70000, rng)
+	}); n != 0 {
+		t.Fatalf("RandomAddr allocates %.1f times per call pair, want 0", n)
 	}
 }

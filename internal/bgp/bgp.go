@@ -11,9 +11,11 @@
 package bgp
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"discs/internal/netsim"
@@ -71,11 +73,20 @@ func NewDISCSAdAttr(ad DISCSAd) Attr {
 }
 
 // Update is a BGP UPDATE message for a single prefix.
+//
+// An Update is immutable once sent. One export builds a single Update
+// and sends that value to every neighbor it targets, and receivers
+// keep its ASPath and Attrs as their Adj-RIB-In route's own, so
+// neither slice may be modified in place after sending — not even by
+// append, which could write into the shared backing array.
 type Update struct {
 	Prefix    netip.Prefix
 	Withdrawn bool
 	ASPath    []topology.ASN
 	Attrs     []Attr
+
+	id     prefixID     // Prefix's dense id in the sending network
+	sender topology.ASN // the exporting speaker
 }
 
 // Size approximates the wire size for netsim bandwidth accounting.
@@ -87,14 +98,20 @@ func (u *Update) Size() int {
 	return n
 }
 
-// Route is an entry in a RIB.
+// Route is an entry in a RIB. Routes are immutable values: ASPath
+// and Attrs are shared with the UPDATE that carried them, with every
+// other neighbor that received it, and with the routes of other
+// speakers, possibly on other parsim lanes. A changed route is a new
+// Route, never an edit of an existing one.
+//
+// Local sits next to From so a Route fits the 96-byte size class.
 type Route struct {
 	Prefix  netip.Prefix
 	ASPath  []topology.ASN // first element is the neighbor the route came from
 	Attrs   []Attr
-	From    topology.ASN          // advertising neighbor; 0 for locally originated
-	FromRel topology.Relationship // relationship of the hop to From (our perspective)
+	From    topology.ASN // advertising neighbor; 0 for locally originated
 	Local   bool
+	FromRel topology.Relationship // relationship of the hop to From (our perspective)
 }
 
 // preferenceClass ranks routes by business preference: customer routes
@@ -136,14 +153,14 @@ type AdHandler func(ad DISCSAd)
 type Speaker struct {
 	ASN  topology.ASN
 	node *netsim.Node
-	topo *topology.Topology
 
-	neighbors map[topology.ASN]*netsim.Node
-	byNode    map[*netsim.Node]topology.ASN          // reverse index for receive()
-	rels      map[topology.ASN]topology.Relationship // our perspective of hop to neighbor
+	nbrs []neighbor // eBGP sessions, sorted by ASN
 
-	adjIn  map[netip.Prefix]map[topology.ASN]*Route
-	locRib map[netip.Prefix]*Route
+	// rib holds one entry per prefix, indexed by the prefix's id in
+	// prefixes, the table shared with every speaker this one
+	// exchanges UPDATEs with.
+	prefixes *prefixTable
+	rib      []ribEntry
 
 	adHandlers []AdHandler
 	seenAds    map[topology.ASN]string // dedup: origin -> controller
@@ -152,19 +169,15 @@ type Speaker struct {
 	UpdatesSent, UpdatesRecv uint64
 }
 
-// NewSpeaker creates a speaker for asn on node. Neighbors are attached
-// with AddNeighbor.
-func NewSpeaker(asn topology.ASN, node *netsim.Node, topo *topology.Topology) *Speaker {
+// newSpeaker creates a speaker for asn on node. Neighbors are attached
+// with AddNeighbor. Speakers that exchange UPDATEs share one prefix
+// table, the network's.
+func newSpeaker(asn topology.ASN, node *netsim.Node, prefixes *prefixTable) *Speaker {
 	s := &Speaker{
-		ASN:       asn,
-		node:      node,
-		topo:      topo,
-		neighbors: make(map[topology.ASN]*netsim.Node),
-		byNode:    make(map[*netsim.Node]topology.ASN),
-		rels:      make(map[topology.ASN]topology.Relationship),
-		adjIn:     make(map[netip.Prefix]map[topology.ASN]*Route),
-		locRib:    make(map[netip.Prefix]*Route),
-		seenAds:   make(map[topology.ASN]string),
+		ASN:      asn,
+		node:     node,
+		prefixes: prefixes,
+		seenAds:  make(map[topology.ASN]string),
 	}
 	node.SetHandler(netsim.HandlerFunc(s.receive))
 	node.Meta["bgp"] = s
@@ -177,9 +190,42 @@ func (s *Speaker) Node() *netsim.Node { return s.node }
 // AddNeighbor declares an eBGP session to the neighbor speaker's node.
 // rel is the relationship of the hop from this AS to the neighbor.
 func (s *Speaker) AddNeighbor(asn topology.ASN, node *netsim.Node, rel topology.Relationship) {
-	s.neighbors[asn] = node
-	s.byNode[node] = asn
-	s.rels[asn] = rel
+	nb := neighbor{asn: asn, node: node, rel: rel}
+	// BuildNetwork adds neighbors in ascending order almost always, so
+	// the common case is an append.
+	if n := len(s.nbrs); n == 0 || s.nbrs[n-1].asn < asn {
+		s.nbrs = append(s.nbrs, nb)
+		return
+	}
+	if i, ok := s.neighborIndex(asn); ok {
+		s.nbrs[i] = nb
+	} else {
+		s.nbrs = slices.Insert(s.nbrs, i, nb)
+	}
+}
+
+// neighborIndex returns the index of the session to asn, or the index
+// it would be inserted at.
+func (s *Speaker) neighborIndex(asn topology.ASN) (int, bool) {
+	return slices.BinarySearchFunc(s.nbrs, asn, func(nb neighbor, a topology.ASN) int { return cmp.Compare(nb.asn, a) })
+}
+
+// entry returns the RIB entry of prefix id, growing the RIB to cover
+// every prefix the network has assigned an id to.
+func (s *Speaker) entry(id prefixID) *ribEntry {
+	if int(id) >= len(s.rib) {
+		s.rib = append(s.rib, make([]ribEntry, len(s.prefixes.prefixes)-len(s.rib))...)
+	}
+	return &s.rib[id]
+}
+
+// lookup returns the RIB entry for p, or nil if the speaker has none.
+func (s *Speaker) lookup(p netip.Prefix) (prefixID, *ribEntry) {
+	id, ok := s.prefixes.ids[p.Masked()]
+	if !ok || int(id) >= len(s.rib) {
+		return 0, nil
+	}
+	return id, &s.rib[id]
 }
 
 // OnAd registers a handler invoked once per newly learned DISCS-Ad
@@ -187,12 +233,14 @@ func (s *Speaker) AddNeighbor(asn topology.ASN, node *netsim.Node, rel topology.
 func (s *Speaker) OnAd(h AdHandler) { s.adHandlers = append(s.adHandlers, h) }
 
 // Originate installs a locally originated route and announces it to
-// neighbors according to export policy.
+// neighbors according to export policy. It assigns the prefix its
+// network-wide id, so it must run while the simulator is parked.
 func (s *Speaker) Originate(p netip.Prefix, attrs ...Attr) {
 	p = p.Masked()
+	id := s.prefixes.intern(p)
 	r := &Route{Prefix: p, Local: true, Attrs: attrs}
-	s.locRib[p] = r
-	s.export(r)
+	s.entry(id).best = r
+	s.export(id, r)
 }
 
 // ReOriginate re-announces an already-originated prefix with new
@@ -200,18 +248,23 @@ func (s *Speaker) Originate(p netip.Prefix, attrs ...Attr) {
 // prepends the origin AS so legacy routers accept a changed route
 // without reachability impact (§IV-B).
 func (s *Speaker) ReOriginate(p netip.Prefix, attrs ...Attr) error {
-	p = p.Masked()
-	r := s.locRib[p]
-	if r == nil || !r.Local {
-		return fmt.Errorf("bgp: AS%d does not originate %v", s.ASN, p)
+	id, e := s.lookup(p)
+	if e == nil || e.best == nil || !e.best.Local {
+		return fmt.Errorf("bgp: AS%d does not originate %v", s.ASN, p.Masked())
 	}
-	r.Attrs = attrs
-	s.export(r)
+	r := &Route{Prefix: e.best.Prefix, Local: true, Attrs: attrs}
+	e.best = r
+	s.export(id, r)
 	return nil
 }
 
 // LocRib returns the current best route for p, or nil.
-func (s *Speaker) LocRib(p netip.Prefix) *Route { return s.locRib[p.Masked()] }
+func (s *Speaker) LocRib(p netip.Prefix) *Route {
+	if _, e := s.lookup(p); e != nil {
+		return e.best
+	}
+	return nil
+}
 
 // SessionDown handles the loss of an eBGP session (link failure or
 // neighbor death): every route learned from that neighbor is flushed
@@ -219,89 +272,104 @@ func (s *Speaker) LocRib(p netip.Prefix) *Route { return s.locRib[p.Masked()] }
 // withdrawals or switching to backup paths as needed. The session
 // configuration is retained so SessionUp can restore it.
 func (s *Speaker) SessionDown(neighbor topology.ASN) {
-	var affected []netip.Prefix
-	for p, peers := range s.adjIn {
-		if _, ok := peers[neighbor]; ok {
-			delete(peers, neighbor)
-			affected = append(affected, p)
+	var affected []prefixID
+	for id := range s.rib {
+		if s.rib[id].drop(neighbor) {
+			affected = append(affected, prefixID(id))
 		}
 	}
-	sort.Slice(affected, func(i, j int) bool { return affected[i].String() < affected[j].String() })
-	for _, p := range affected {
-		s.decide(p)
+	s.prefixes.sortByString(affected)
+	for _, id := range affected {
+		s.decide(id)
 	}
 }
 
 // SessionUp re-advertises the full Loc-RIB to a restored neighbor (the
 // initial-exchange behavior of a fresh BGP session).
 func (s *Speaker) SessionUp(neighbor topology.ASN) {
-	node := s.neighbors[neighbor]
-	if node == nil {
+	i, ok := s.neighborIndex(neighbor)
+	if !ok {
 		return
 	}
-	for _, p := range s.Routes() {
-		r := s.locRib[p]
-		// Export policy still applies.
-		allowed := false
-		for _, t := range s.exportTargets(r) {
-			if t == neighbor {
-				allowed = true
-				break
+	nb := &s.nbrs[i]
+	for _, id := range s.routeIDs() {
+		if r := s.rib[id].best; exportsTo(r, nb) {
+			if s.node.SendTo(nb.node, s.announcement(id, r)) {
+				s.UpdatesSent++
 			}
-		}
-		if !allowed {
-			continue
-		}
-		u := &Update{
-			Prefix: r.Prefix,
-			ASPath: append([]topology.ASN{s.ASN}, r.ASPath...),
-			Attrs:  r.Attrs,
-		}
-		if s.node.SendTo(node, u) {
-			s.UpdatesSent++
 		}
 	}
 }
 
 // Routes returns all Loc-RIB prefixes, sorted for determinism.
 func (s *Speaker) Routes() []netip.Prefix {
-	out := make([]netip.Prefix, 0, len(s.locRib))
-	for p := range s.locRib {
-		out = append(out, p)
+	ids := s.routeIDs()
+	out := make([]netip.Prefix, len(ids))
+	for i, id := range ids {
+		out[i] = s.prefixes.prefixes[id]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	return out
 }
 
-// exportTargets returns the neighbors a route may be exported to under
-// Gao-Rexford policy: routes from customers (or local routes) go to
-// everyone; routes from peers/providers go to customers only.
-func (s *Speaker) exportTargets(r *Route) []topology.ASN {
-	toAll := r.Local || r.FromRel == topology.ProviderToCustomer
-	var out []topology.ASN
-	for n := range s.neighbors {
-		if n == r.From {
+// routeIDs returns the ids of every Loc-RIB prefix in Routes order.
+func (s *Speaker) routeIDs() []prefixID {
+	ids := s.ribIDs(hasRoute)
+	s.prefixes.sortByString(ids)
+	return ids
+}
+
+// ribIDs returns, in id order, the ids of the RIB entries keep selects.
+func (s *Speaker) ribIDs(keep func(*ribEntry) bool) []prefixID {
+	var ids []prefixID
+	for id := range s.rib {
+		if keep(&s.rib[id]) {
+			ids = append(ids, prefixID(id))
+		}
+	}
+	return ids
+}
+
+// announcement builds the UPDATE that exports r: our ASN prepended to
+// a fresh copy of its path.
+func (s *Speaker) announcement(id prefixID, r *Route) *Update {
+	path := make([]topology.ASN, len(r.ASPath)+1)
+	path[0] = s.ASN
+	copy(path[1:], r.ASPath)
+	return &Update{Prefix: r.Prefix, ASPath: path, Attrs: r.Attrs, id: id, sender: s.ASN}
+}
+
+// export sends the route to all permitted neighbors, in ASN order, as
+// one UPDATE shared by all of them.
+func (s *Speaker) export(id prefixID, r *Route) {
+	var u *Update
+	for i := range s.nbrs {
+		nb := &s.nbrs[i]
+		if !exportsTo(r, nb) {
 			continue
 		}
-		if toAll || s.rels[n] == topology.ProviderToCustomer {
-			out = append(out, n)
+		if u == nil {
+			u = s.announcement(id, r)
+		}
+		if s.node.SendTo(nb.node, u) {
+			s.UpdatesSent++
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
-// export sends the route to all permitted neighbors with our ASN
-// prepended.
-func (s *Speaker) export(r *Route) {
-	path := append([]topology.ASN{s.ASN}, r.ASPath...)
-	for _, nASN := range s.exportTargets(r) {
-		u := &Update{
-			Prefix: r.Prefix,
-			ASPath: append([]topology.ASN(nil), path...),
-			Attrs:  r.Attrs,
+// exportWithdraw notifies the neighbors that received route old that
+// it is gone, except those the replacement best (nil if none) is
+// exported to: they get the new announcement instead.
+func (s *Speaker) exportWithdraw(id prefixID, old, best *Route) {
+	var u *Update
+	for i := range s.nbrs {
+		nb := &s.nbrs[i]
+		if !exportsTo(old, nb) || (best != nil && exportsTo(best, nb)) {
+			continue
 		}
-		if s.node.SendTo(s.neighbors[nASN], u) {
+		if u == nil {
+			u = &Update{Prefix: old.Prefix, Withdrawn: true, id: id, sender: s.ASN}
+		}
+		if s.node.SendTo(nb.node, u) {
 			s.UpdatesSent++
 		}
 	}
@@ -314,10 +382,8 @@ func (s *Speaker) receive(from *netsim.Node, _ *netsim.Link, msg netsim.Message)
 		return
 	}
 	s.UpdatesRecv++
-	// Identify which neighbor sent it (O(1); a tier-1 speaker has
-	// thousands of sessions, so scanning per update does not scale).
-	fromASN, found := s.byNode[from]
-	if !found {
+	i, found := s.neighborIndex(u.sender)
+	if !found || s.nbrs[i].node != from {
 		return // not a configured session
 	}
 	// Loop prevention.
@@ -331,66 +397,55 @@ func (s *Speaker) receive(from *netsim.Node, _ *netsim.Link, msg netsim.Message)
 	// attribute (the Ad is informational, not a routing input).
 	s.extractAds(u.Attrs)
 
+	e := s.entry(u.id)
 	if u.Withdrawn {
-		if peers := s.adjIn[u.Prefix]; peers != nil {
-			delete(peers, fromASN)
-		}
-		s.decide(u.Prefix)
-		return
+		e.drop(u.sender)
+	} else {
+		e.put(&Route{
+			Prefix:  u.Prefix,
+			ASPath:  u.ASPath,
+			Attrs:   u.Attrs,
+			From:    u.sender,
+			FromRel: s.nbrs[i].rel,
+		})
 	}
-	r := &Route{
-		Prefix:  u.Prefix,
-		ASPath:  append([]topology.ASN(nil), u.ASPath...),
-		Attrs:   u.Attrs,
-		From:    fromASN,
-		FromRel: s.rels[fromASN],
-	}
-	if s.adjIn[u.Prefix] == nil {
-		s.adjIn[u.Prefix] = make(map[topology.ASN]*Route)
-	}
-	s.adjIn[u.Prefix][fromASN] = r
-	s.decide(u.Prefix)
+	s.decide(u.id)
 }
 
-// decide recomputes the best path for p and exports on change. A
-// changed attribute set on the same best path also triggers export so
-// re-originated DISCS-Ads propagate.
-func (s *Speaker) decide(p netip.Prefix) {
-	cur := s.locRib[p]
+// decide recomputes the best path for prefix id and exports on change.
+// A changed attribute set on the same best path also triggers export
+// so re-originated DISCS-Ads propagate.
+func (s *Speaker) decide(id prefixID) {
+	e := &s.rib[id]
+	cur := e.best
 	if cur != nil && cur.Local {
 		return // local routes always win
 	}
 	var best *Route
-	// Deterministic iteration over candidates.
-	var froms []topology.ASN
-	for f := range s.adjIn[p] {
-		froms = append(froms, f)
-	}
-	sort.Slice(froms, func(i, j int) bool { return froms[i] < froms[j] })
-	for _, f := range froms {
-		if r := s.adjIn[p][f]; r.better(best) {
+	for _, r := range e.cands {
+		if r.better(best) {
 			best = r
 		}
 	}
 	if best == nil {
 		if cur != nil {
-			delete(s.locRib, p)
-			s.exportWithdraw(cur, nil)
+			e.best = nil
+			s.exportWithdraw(id, cur, nil)
 		}
 		return
 	}
 	if cur != nil && routesEqual(cur, best) {
 		return
 	}
-	s.locRib[p] = best
+	e.best = best
 	// When the best path's provenance changes, the Gao-Rexford export
 	// set can shrink (e.g. customer route → provider route is no longer
 	// announced to providers/peers): retract from neighbors that held
 	// the old announcement but are outside the new export set.
 	if cur != nil {
-		s.exportWithdraw(cur, s.exportTargets(best))
+		s.exportWithdraw(id, cur, best)
 	}
-	s.export(best)
+	s.export(id, best)
 }
 
 func routesEqual(a, b *Route) bool {
@@ -410,38 +465,17 @@ func routesEqual(a, b *Route) bool {
 	return true
 }
 
-// exportWithdraw notifies the neighbors that received route r that it
-// is gone, excluding any neighbor in keep (they are about to get a
-// replacement announcement instead).
-func (s *Speaker) exportWithdraw(r *Route, keep []topology.ASN) {
-	keepSet := make(map[topology.ASN]bool, len(keep))
-	for _, k := range keep {
-		keepSet[k] = true
-	}
-	for _, nASN := range s.exportTargets(r) {
-		if keepSet[nASN] {
-			continue
-		}
-		u := &Update{Prefix: r.Prefix, Withdrawn: true}
-		if s.node.SendTo(s.neighbors[nASN], u) {
-			s.UpdatesSent++
-		}
-	}
-}
-
-// extractAds fires handlers for new DISCS-Ads.
+// extractAds fires handlers for new DISCS-Ads. An Ad already seen is
+// recognized without decoding it.
 func (s *Speaker) extractAds(attrs []Attr) {
 	for _, a := range attrs {
-		if a.Code != AttrCodeDISCSAd {
+		if a.Code != AttrCodeDISCSAd || len(a.Data) < 4 {
 			continue
 		}
-		ad, err := DecodeDISCSAd(a.Data)
-		if err != nil {
+		if s.seenAds[topology.ASN(binary.BigEndian.Uint32(a.Data))] == string(a.Data[4:]) {
 			continue
 		}
-		if s.seenAds[ad.Origin] == ad.Controller {
-			continue
-		}
+		ad, _ := DecodeDISCSAd(a.Data)
 		s.seenAds[ad.Origin] = ad.Controller
 		for _, h := range s.adHandlers {
 			h(ad)

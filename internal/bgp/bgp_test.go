@@ -166,8 +166,9 @@ func TestWithdraw(t *testing.T) {
 	s1 := net.Speakers[1001]
 	p := netip.MustParsePrefix("172.16.1.0/24")
 	// Simulate S1 withdrawing: send withdraw to M1 directly.
-	s1.exportWithdraw(s1.LocRib(p), nil)
-	delete(s1.locRib, p)
+	id, e := s1.lookup(p)
+	s1.exportWithdraw(id, e.best, nil)
+	e.best = nil
 	if err := net.Converge(); err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ package bgp
 
 import (
 	"fmt"
-	"net/netip"
 	"sort"
 
 	"discs/internal/snapcodec"
@@ -49,50 +48,35 @@ func readRouteBody(r *snapcodec.Reader, rt *Route) {
 	rt.FromRel = topology.Relationship(r.Varint())
 }
 
-func sortedPrefixes[V any](m map[netip.Prefix]V) []netip.Prefix {
-	out := make([]netip.Prefix, 0, len(m))
-	for p := range m {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if c := out[i].Addr().Compare(out[j].Addr()); c != 0 {
-			return c < 0
-		}
-		return out[i].Bits() < out[j].Bits()
-	})
-	return out
-}
-
 // checkpoint serializes one speaker's routing state.
 func (s *Speaker) checkpoint(w *snapcodec.Writer) {
 	w.Uvarint(s.UpdatesSent)
 	w.Uvarint(s.UpdatesRecv)
 
-	w.Uvarint(uint64(len(s.adjIn)))
-	for _, p := range sortedPrefixes(s.adjIn) {
-		w.Prefix(p)
-		froms := s.adjIn[p]
-		keys := make([]topology.ASN, 0, len(froms))
-		for f := range froms {
-			keys = append(keys, f)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		w.Uvarint(uint64(len(keys)))
-		for _, f := range keys {
-			w.Uvarint(uint64(f))
-			writeRouteBody(w, froms[f])
+	learned := s.ribIDs(func(e *ribEntry) bool { return e.learned })
+	s.prefixes.sortByAddr(learned)
+	w.Uvarint(uint64(len(learned)))
+	for _, id := range learned {
+		w.Prefix(s.prefixes.prefixes[id])
+		cands := s.rib[id].cands
+		w.Uvarint(uint64(len(cands)))
+		for _, rt := range cands {
+			w.Uvarint(uint64(rt.From))
+			writeRouteBody(w, rt)
 		}
 	}
 
-	w.Uvarint(uint64(len(s.locRib)))
-	for _, p := range sortedPrefixes(s.locRib) {
-		rt := s.locRib[p]
-		w.Prefix(p)
+	routed := s.ribIDs(hasRoute)
+	s.prefixes.sortByAddr(routed)
+	w.Uvarint(uint64(len(routed)))
+	for _, id := range routed {
+		rt := s.rib[id].best
+		w.Prefix(s.prefixes.prefixes[id])
 		w.Bool(rt.Local)
 		if rt.Local {
 			writeRouteBody(w, rt)
 		} else {
-			w.Uvarint(uint64(rt.From)) // reference into adjIn[p]
+			w.Uvarint(uint64(rt.From)) // reference into the Adj-RIB-In
 		}
 	}
 
@@ -108,7 +92,8 @@ func (s *Speaker) checkpoint(w *snapcodec.Writer) {
 	}
 }
 
-// restore injects state written by checkpoint into a fresh speaker.
+// restore injects state written by checkpoint into a fresh speaker,
+// assigning ids to prefixes the network has not seen yet.
 func (s *Speaker) restore(r *snapcodec.Reader) error {
 	s.UpdatesSent = r.Uvarint()
 	s.UpdatesRecv = r.Uvarint()
@@ -117,38 +102,48 @@ func (s *Speaker) restore(r *snapcodec.Reader) error {
 	for i := 0; i < np; i++ {
 		p := r.Prefix()
 		nf := r.Count(2)
-		froms := make(map[topology.ASN]*Route, nf)
+		if r.Err() != nil {
+			return r.Err()
+		}
+		e := s.entry(s.prefixes.intern(p))
+		e.learned = true
 		for j := 0; j < nf; j++ {
-			from := topology.ASN(r.Uvarint())
-			rt := &Route{Prefix: p, From: from}
+			rt := &Route{Prefix: p, From: topology.ASN(r.Uvarint())}
 			readRouteBody(r, rt)
-			froms[from] = rt
+			e.put(rt)
 		}
 		if r.Err() != nil {
 			return r.Err()
 		}
-		s.adjIn[p] = froms
 	}
 
 	nl := r.Count(6)
 	for i := 0; i < nl; i++ {
 		p := r.Prefix()
-		if r.Bool() {
-			rt := &Route{Prefix: p, Local: true}
-			readRouteBody(r, rt)
-			s.locRib[p] = rt
-		} else {
-			from := topology.ASN(r.Uvarint())
-			rt := s.adjIn[p][from]
-			if rt == nil && r.Err() == nil {
-				return fmt.Errorf("bgp: restore: AS%d Loc-RIB %v references absent Adj-RIB route from AS%d",
-					s.ASN, p, from)
-			}
-			s.locRib[p] = rt
-		}
+		local := r.Bool()
 		if r.Err() != nil {
 			return r.Err()
 		}
+		e := s.entry(s.prefixes.intern(p))
+		if local {
+			rt := &Route{Prefix: p, Local: true}
+			readRouteBody(r, rt)
+			e.best = rt
+			if r.Err() != nil {
+				return r.Err()
+			}
+			continue
+		}
+		from := topology.ASN(r.Uvarint())
+		if r.Err() != nil {
+			return r.Err()
+		}
+		j, ok := e.find(from)
+		if !ok {
+			return fmt.Errorf("bgp: restore: AS%d Loc-RIB %v references absent Adj-RIB route from AS%d",
+				s.ASN, p, from)
+		}
+		e.best = e.cands[j]
 	}
 
 	na := r.Count(2)

@@ -15,6 +15,8 @@ type Network struct {
 	Sim      *netsim.Simulator
 	Topo     *topology.Topology
 	Speakers map[topology.ASN]*Speaker
+
+	prefixes *prefixTable // dense prefix ids, shared by every speaker
 }
 
 // BuildNetwork creates a netsim node ("borderN") and speaker for every
@@ -28,13 +30,13 @@ func BuildNetwork(topo *topology.Topology, linkDelay time.Duration) (*Network, e
 	sim := netsim.New()
 	nAS := topo.NumASes()
 	sim.Reserve(nAS, topo.NumLinks())
-	net := &Network{Sim: sim, Topo: topo, Speakers: make(map[topology.ASN]*Speaker, nAS)}
+	net := &Network{Sim: sim, Topo: topo, Speakers: make(map[topology.ASN]*Speaker, nAS), prefixes: &prefixTable{}}
 	for _, asn := range topo.ASNs() {
 		node, err := sim.AddNode(fmt.Sprintf("border%d", asn))
 		if err != nil {
 			return nil, err
 		}
-		net.Speakers[asn] = NewSpeaker(asn, node, topo)
+		net.Speakers[asn] = newSpeaker(asn, node, net.prefixes)
 	}
 	for _, asn := range topo.ASNs() {
 		a := topo.AS(asn)

@@ -13,3 +13,11 @@ func SetTestDialHook(d func(ctx context.Context, addr string) (net.Conn, error))
 	testDialHook = d
 	return func() { testDialHook = old }
 }
+
+// PendingTimers returns how many wall-clock timers the node has armed
+// that have neither fired nor been stopped.
+func (n *Node) PendingTimers() int {
+	n.timerMu.Lock()
+	defer n.timerMu.Unlock()
+	return len(n.timers)
+}

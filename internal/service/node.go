@@ -86,6 +86,13 @@ type Node struct {
 	rxOverflow  *obs.Counter
 
 	admin *adminServer
+
+	// timers holds the armed wall-clock timers; each callback removes
+	// its own, and Close stops the rest and sets it to nil so nothing
+	// arms after. It has its own lock because controller code arms
+	// timers while holding mu.
+	timerMu sync.Mutex
+	timers  map[*time.Timer]struct{}
 }
 
 // wallRuntime binds a controller to the wall clock: Now is the offset
@@ -97,13 +104,27 @@ type wallRuntime struct{ n *Node }
 
 func (r wallRuntime) Now() time.Duration { return time.Since(r.n.start) }
 func (r wallRuntime) After(d time.Duration, fn func()) {
-	time.AfterFunc(d, func() { r.n.do(fn) })
+	n := r.n
+	n.timerMu.Lock()
+	defer n.timerMu.Unlock()
+	if n.timers == nil {
+		return // closed
+	}
+	var t *time.Timer
+	t = time.AfterFunc(d, func() {
+		n.timerMu.Lock()
+		delete(n.timers, t)
+		n.timerMu.Unlock()
+		n.do(fn)
+	})
+	n.timers[t] = struct{}{}
 }
 func (r wallRuntime) AfterBackground(d time.Duration, fn func()) { r.After(d, fn) }
 
-// do runs fn on the node's event loop unless the node is closed. Timer
-// callbacks outliving Close become no-ops, mirroring how crashing a
-// simulated node kills its pending timers.
+// do runs fn on the node's event loop unless the node is closed. A
+// timer callback already running when Close stops the timers becomes
+// a no-op, mirroring how crashing a simulated node kills its pending
+// timers.
 func (n *Node) do(fn func()) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -134,10 +155,11 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	n := &Node{
-		cfg:   cfg,
-		dir:   core.NewDirectory(),
-		reg:   obs.NewRegistry(),
-		start: time.Now(),
+		cfg:    cfg,
+		dir:    core.NewDirectory(),
+		reg:    obs.NewRegistry(),
+		start:  time.Now(),
+		timers: make(map[*time.Timer]struct{}),
 	}
 	scope := fmt.Sprintf("as%d.", cfg.AS)
 	sc := n.reg.Scope(scope)
@@ -533,6 +555,12 @@ func (n *Node) Close() error {
 	}
 	n.closed = true
 	n.mu.Unlock()
+	n.timerMu.Lock()
+	for t := range n.timers {
+		t.Stop()
+	}
+	n.timers = nil
+	n.timerMu.Unlock()
 	if n.admin != nil {
 		n.admin.close()
 	}

@@ -188,6 +188,33 @@ func TestHealthzDegradesOnDeadPeer(t *testing.T) {
 	}
 }
 
+// TestCloseStopsTimers checks that closing a node stops every
+// wall-clock timer it armed (heartbeats, reconnects, key timers), so a
+// closed node is not kept reachable until they fire.
+func TestCloseStopsTimers(t *testing.T) {
+	f, err := service.NewFleet(service.FleetOptions{N: 2, BaseSeed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.WaitReady(15 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range f.Nodes {
+		if n.PendingTimers() == 0 {
+			t.Fatalf("%s has no timers armed before Close", n.Name())
+		}
+	}
+	for _, n := range f.Nodes {
+		if err := n.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := n.PendingTimers(); got != 0 {
+			t.Fatalf("%s: %d timers pending after Close", n.Name(), got)
+		}
+	}
+}
+
 // TestConfigLoadAndValidate pins the JSON config surface: a good file
 // loads, and each structural defect is rejected.
 func TestConfigLoadAndValidate(t *testing.T) {
